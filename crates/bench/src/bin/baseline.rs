@@ -113,8 +113,8 @@
 //!    every warning — the library-level twin of the CI `env-lint` job;
 //! 9. a **deterministic trace-replay gate** — a pinned seeded editor trace
 //!    (400 events, 6 points, figure-1 filler-0) must replay to exactly the
-//!    recorded event count, σ-run count, graph-build count and result
-//!    digest, twice through the library path with byte-identical
+//!    recorded event count, σ-run count, graph-build count, space-build
+//!    count and result digest, twice through the library path with byte-identical
 //!    counters-only reports, and once through the JSON server path with
 //!    the same digest; no timing involved;
 //! 10. a **timing-ratio gate** — re-measures the two `session_amortization`
@@ -184,6 +184,9 @@ const TRACE_GATE_SEED: u64 = 1013;
 const TRACE_GATE_EVENTS: usize = 400;
 const TRACE_GATE_PREPARES: usize = 56;
 const TRACE_GATE_GRAPH_BUILDS: usize = 130;
+/// Of the graph builds, those that explored: one per goal of the trace,
+/// every other graph is rebound over an explored space.
+const TRACE_GATE_SPACE_BUILDS: usize = 4;
 const TRACE_GATE_DIGEST: &str = "b2c25e7db777f25c";
 
 /// The fixed editor trace the `--check` trace-replay gate replays: 400
@@ -891,7 +894,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build/space-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -1348,8 +1351,8 @@ fn run_check(path: &str) -> i32 {
     }
 
     // Gate 8 — trace replay, deterministic: the pinned seeded editor trace
-    // must replay to exactly the recorded event/prepare/graph-build counts
-    // and result digest, byte-identically across two library runs, and the
+    // must replay to exactly the recorded event/prepare/graph-build/
+    // space-build counts and result digest, byte-identically across two library runs, and the
     // JSON server path must digest identically to the library path on the
     // same workload. Everything compared is integer counters and a
     // float-free digest, so the gate is safe on a noisy 1-core runner.
@@ -1360,18 +1363,20 @@ fn run_check(path: &str) -> i32 {
         let second = replay_library(&trace, &ambient, 1);
         let server = replay_server(&trace, &ambient, 1);
         println!(
-            "trace replay: {} events, {} prepares, {} graph builds, digest {} \
-             (gate requires {TRACE_GATE_EVENTS}/{TRACE_GATE_PREPARES}/{TRACE_GATE_GRAPH_BUILDS}/{TRACE_GATE_DIGEST}); \
-             server path digest {}",
+            "trace replay: {} events, {} prepares, {} graph builds ({} explored), digest {} \
+             (gate requires {TRACE_GATE_EVENTS}/{TRACE_GATE_PREPARES}/{TRACE_GATE_GRAPH_BUILDS} \
+             ({TRACE_GATE_SPACE_BUILDS})/{TRACE_GATE_DIGEST}); server path digest {}",
             first.summary.events,
             first.prepares,
             first.graph_builds,
+            first.space_builds,
             first.digest_hex(),
             server.digest_hex(),
         );
         let pinned = first.summary.events == TRACE_GATE_EVENTS
             && first.prepares == TRACE_GATE_PREPARES
             && first.graph_builds == TRACE_GATE_GRAPH_BUILDS
+            && first.space_builds == TRACE_GATE_SPACE_BUILDS
             && first.digest_hex() == TRACE_GATE_DIGEST
             && first.errors == 0;
         let reproducible = first.to_json(true) == second.to_json(true);

@@ -232,8 +232,8 @@ fn print_human(report: &ReplayReport) {
         s.opens, s.queries, s.pages, s.updates, s.removals, s.closes
     );
     println!(
-        "engine     {} prepares, {} graph builds",
-        report.prepares, report.graph_builds
+        "engine     {} prepares, {} graph builds ({} explored)",
+        report.prepares, report.graph_builds, report.space_builds
     );
     println!(
         "results    {} completions, {} values, {} resumed, {} errors",

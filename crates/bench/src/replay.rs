@@ -31,7 +31,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use insynth_core::{Engine, EnvDelta, Query, Session, SynthesisConfig, TypeEnv};
+use insynth_core::{
+    Engine, EngineStatsSnapshot, EnvDelta, Query, Session, SynthesisConfig, TypeEnv,
+};
 use insynth_corpus::trace::{Trace, TraceEnvSpec, TraceEvent, TraceEventKind, TraceSummary};
 use insynth_server::{decl_to_json, env_to_json, ty_to_json, Json, Server, ServerConfig};
 use insynth_stats::Histogram;
@@ -95,8 +97,10 @@ pub struct ReplayReport {
     pub errors: u64,
     /// σ-lowering runs the engine performed ([`Engine::stats`]).
     pub prepares: usize,
-    /// Derivation-graph builds the engine performed.
+    /// Derivation graphs the engine constructed (full builds and rebinds).
     pub graph_builds: usize,
+    /// Of those, full builds: exploration and pattern generation run.
+    pub space_builds: usize,
     /// Order-insensitive result digest (see module docs).
     pub digest: u64,
     pub elapsed: Duration,
@@ -136,8 +140,8 @@ impl ReplayReport {
             s.events, s.opens, s.queries, s.pages, s.updates, s.removals, s.closes, s.points
         ));
         out.push_str(&format!(
-            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}}},\n",
-            self.prepares, self.graph_builds
+            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}, \"space_builds\": {}}},\n",
+            self.prepares, self.graph_builds, self.space_builds
         ));
         out.push_str(&format!(
             "  \"results\": {{\"completions\": {}, \"values\": {}, \"resumed\": {}, \"errors\": {}, \"digest\": \"{}\"}}",
@@ -332,15 +336,13 @@ pub fn replay_library(trace: &Trace, ambient: &TypeEnv, workers: usize) -> Repla
         run_library_worker(ambient, &engine, events)
     });
     let elapsed = started.elapsed();
-    let stats = engine.stats();
     report(
         ReplayMode::Library,
         workers,
         ambient.len(),
         trace,
         outcome,
-        stats.prepare_count,
-        stats.graph_build_count,
+        &engine.stats(),
         elapsed,
     )
 }
@@ -369,15 +371,13 @@ where
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn report(
     mode: ReplayMode,
     workers: usize,
     env_decls: usize,
     trace: &Trace,
     outcome: WorkerOutcome,
-    prepares: usize,
-    graph_builds: usize,
+    stats: &EngineStatsSnapshot,
     elapsed: Duration,
 ) -> ReplayReport {
     ReplayReport {
@@ -389,8 +389,9 @@ fn report(
         values: outcome.values,
         resumed: outcome.resumed,
         errors: outcome.errors,
-        prepares,
-        graph_builds,
+        prepares: stats.prepare_count,
+        graph_builds: stats.graph_build_count,
+        space_builds: stats.space_builds,
         digest: outcome.digest,
         elapsed,
         latency: outcome.latency,
@@ -626,15 +627,13 @@ pub fn replay_server(trace: &Trace, ambient: &TypeEnv, workers: usize) -> Replay
         run_server_worker(ambient, &server, events)
     });
     let elapsed = started.elapsed();
-    let stats = server.engine().stats();
     report(
         ReplayMode::Server,
         workers,
         ambient.len(),
         trace,
         outcome,
-        stats.prepare_count,
-        stats.graph_build_count,
+        &server.engine().stats(),
         elapsed,
     )
 }
@@ -719,6 +718,7 @@ mod tests {
         assert_eq!(lib.completions, srv.completions);
         assert_eq!(lib.prepares, srv.prepares);
         assert_eq!(lib.graph_builds, srv.graph_builds);
+        assert_eq!(lib.space_builds, srv.space_builds);
 
         // Re-running is counter- and digest-identical (workers = 1).
         let again = replay_library(&trace, &ambient, 1);

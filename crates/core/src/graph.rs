@@ -61,8 +61,14 @@
 //! [`ScratchStore`]), and the heuristic is part of it, which is what lets a
 //! [`Session`](crate::Session) cache both and answer repeated queries
 //! without re-running exploration, pattern generation or the Dijkstra pass.
-//! Two further pieces of sharing keep cached graphs cheap:
+//! Three further pieces of sharing keep cached graphs cheap:
 //!
+//! * the **explored space is shared** — goal nodes, variants, overlay
+//!   environments and hole types depend on the σ-environment only, not on
+//!   declaration names or individual weights, so every graph bound over one
+//!   exploration holds it by `Arc`, and `DerivationGraph::rebind` builds a
+//!   graph for another program point of the same σ-environment by resolving
+//!   only its edges and heuristic;
 //! * the **base environment table is not snapshotted** — the graph holds an
 //!   `Arc` of the [`PreparedEnv`] it was built over and resolves base-store
 //!   environments through it, copying only the query-local overlay
@@ -155,25 +161,71 @@ struct HoleTy {
     arg_succs: Vec<SuccinctTyId>,
 }
 
-/// The graph's per-goal variants and declaration edges, packed into
-/// contiguous struct-of-arrays slabs with `u32` prefix offsets.
+/// The interned hole types of a graph, in interning order, with the
+/// reverse lookup by simple type.
+#[derive(Debug)]
+struct HoleTable {
+    tys: Vec<HoleTy>,
+    ids: HashMap<Ty, HoleTyId>,
+}
+
+/// The goal-directed half of a derivation graph: everything exploration and
+/// pattern generation determine for one goal over one σ-environment, with no
+/// declaration name or weight in it.
 ///
-/// A goal node's variants are the patterns of that goal (the succinct type an
-/// expansion head must have); a variant's edges are the `Select`-resolved
-/// declarations realizing it, each carrying its weight and the hole types of
-/// its uncurried arguments. Lambda binders in scope are matched against
-/// `variant_wanted` at walk time (they are not known at build time). Packing
-/// everything walk-adjacent into flat parallel vectors keeps the expansion
-/// loop on a handful of contiguous allocations instead of one `Vec<Vec<_>>`
-/// tree per node — the layout the cache-locality numbers in
-/// `BENCH_BASELINE.json` are measured against.
-#[derive(Debug, Default)]
-struct EdgeSlab {
+/// Goal nodes and their variants (the patterns of a goal: the succinct type
+/// an expansion head must have, in derivation order) depend only on the
+/// succinct store, the initial environment and the per-type weights that
+/// order exploration. Which declarations realize a variant, and at what
+/// weight, is the per-point [`EdgeSlab`]. So one space serves every program
+/// point with the same σ-environment: [`DerivationGraph::rebind`] resolves
+/// a new edge slab and heuristic over it instead of exploring again.
+#[derive(Debug)]
+pub(crate) struct GraphSpace {
+    goal_ids: HashMap<(EnvId, Symbol), u32>,
+    /// The environment of each goal node.
+    node_envs: Vec<EnvId>,
     /// Variants of node `v` occupy `node_offsets[v]..node_offsets[v + 1]`
     /// (length `node_count + 1`, first entry `0`).
     node_offsets: Vec<u32>,
     /// The succinct head type each variant matches, one entry per variant.
     variant_wanted: Vec<SuccinctTyId>,
+    /// Member lists of the query-local overlay environments only (raw ids
+    /// past the base store's), each sorted ascending; base environments are
+    /// resolved through the graph's `base`. The same `Arc` backs the
+    /// id-indexed table and the reverse-lookup keys.
+    scratch_envs: Vec<Arc<[SuccinctTyId]>>,
+    scratch_env_ids: HashMap<Arc<[SuccinctTyId]>, EnvId>,
+    /// The hole types the space's own build interned: the table a rebind
+    /// takes σ images from.
+    holes: Arc<HoleTable>,
+}
+
+impl GraphSpace {
+    fn node_count(&self) -> usize {
+        self.node_offsets.len().saturating_sub(1)
+    }
+
+    /// Variant indices of a goal node, in derivation order.
+    fn variants(&self, node: u32) -> std::ops::Range<usize> {
+        let node = node as usize;
+        self.node_offsets[node] as usize..self.node_offsets[node + 1] as usize
+    }
+}
+
+/// The graph's declaration edges, packed into contiguous struct-of-arrays
+/// slabs with `u32` prefix offsets.
+///
+/// A variant's edges are the `Select`-resolved declarations realizing it,
+/// each carrying its weight and the hole types of its uncurried arguments.
+/// Lambda binders in scope are matched against the variant's wanted type at
+/// walk time (they are not known at build time). Packing everything
+/// walk-adjacent into flat parallel vectors keeps the expansion loop on a
+/// handful of contiguous allocations instead of one `Vec<Vec<_>>` tree per
+/// node — the layout the cache-locality numbers in `BENCH_BASELINE.json` are
+/// measured against.
+#[derive(Debug, Default)]
+struct EdgeSlab {
     /// Edges of variant `i` occupy `variant_offsets[i]..variant_offsets[i + 1]`
     /// (length `variant_count + 1`, first entry `0`).
     variant_offsets: Vec<u32>,
@@ -186,16 +238,6 @@ struct EdgeSlab {
 }
 
 impl EdgeSlab {
-    fn node_count(&self) -> usize {
-        self.node_offsets.len().saturating_sub(1)
-    }
-
-    /// Variant indices of a goal node, in derivation order.
-    fn variants(&self, node: u32) -> std::ops::Range<usize> {
-        let node = node as usize;
-        self.node_offsets[node] as usize..self.node_offsets[node + 1] as usize
-    }
-
     /// Edge indices of a variant, in `Select` order.
     fn edges(&self, variant: usize) -> std::ops::Range<usize> {
         self.variant_offsets[variant] as usize..self.variant_offsets[variant + 1] as usize
@@ -215,19 +257,14 @@ pub struct DerivationGraph {
     /// every graph cached for a program point shares the point's interned
     /// tables (and keeps them alive independently of any session).
     base: Arc<PreparedEnv>,
-    /// Goal nodes' variants and edges, in
-    /// [`PatternIndex`](insynth_succinct::PatternIndex) goal order, packed
-    /// into contiguous struct-of-arrays slabs.
+    /// Goal nodes, variants and overlay environments, shared by every graph
+    /// bound over the same explored space.
+    space: Arc<GraphSpace>,
+    /// The variants' declaration edges, resolved against `base`.
     edges: EdgeSlab,
-    goal_ids: HashMap<(EnvId, Symbol), u32>,
-    tys: Vec<HoleTy>,
-    ty_ids: HashMap<Ty, HoleTyId>,
-    /// Member lists of the query-local overlay environments only (raw ids
-    /// past the base store's), each sorted ascending; base environments are
-    /// resolved through `base`. The same `Arc` backs the id-indexed table and
-    /// the reverse-lookup keys.
-    scratch_envs: Vec<Arc<[SuccinctTyId]>>,
-    scratch_env_ids: HashMap<Arc<[SuccinctTyId]>, EnvId>,
+    /// The hole types of this graph's edges and goal. Shared with `space`
+    /// when the graph interned exactly the space's table.
+    holes: Arc<HoleTable>,
     init_env: EnvId,
     root_ty: HoleTyId,
     lambda_weight: Weight,
@@ -353,7 +390,7 @@ impl DerivationGraph {
 
         // Pass 2 (parallel) + pass 3 (sequential assembly): resolve every
         // variant's `Select` list into packed edge slabs.
-        let edges = resolve_edges(prepared, &decl_args, node_offsets, variant_wanted, threads);
+        let edges = resolve_edges(prepared, &decl_args, &variant_wanted, threads);
 
         let root_ty = intern_hole_ty(store, &mut tys, &mut ty_ids, goal);
 
@@ -372,34 +409,105 @@ impl DerivationGraph {
             scratch_envs.push(members);
         }
 
-        let lambda_weight = weights.lambda_weight();
-        let monotone = prepared.weights_monotone(weights);
-
-        let mut graph = DerivationGraph {
-            base: Arc::clone(prepared),
-            edges,
+        let holes = Arc::new(HoleTable { tys, ids: ty_ids });
+        let space = Arc::new(GraphSpace {
             goal_ids,
-            tys,
-            ty_ids,
+            node_envs,
+            node_offsets,
+            variant_wanted,
             scratch_envs,
             scratch_env_ids,
+            holes: Arc::clone(&holes),
+        });
+        Self::assemble(prepared, space, edges, holes, root_ty, weights)
+    }
+
+    /// Binds an explored `space` to another program point whose
+    /// σ-environment is the one the space was explored over (the caller
+    /// verifies that): resolves a fresh edge slab from the point's own
+    /// `Select` index and declaration weights, then computes the heuristic.
+    /// The result is identical to a full [`DerivationGraph::build`] at that
+    /// point, because exploration and pattern generation read nothing but
+    /// the σ-environment.
+    ///
+    /// Pass 1's hole-type interning is replayed in the order a full build
+    /// would perform it, taking σ images from the space's table, so the
+    /// heuristic's binder pseudo-edges range over exactly the hole types a
+    /// full build would intern. Returns `None` when a selected declaration
+    /// needs a hole type the space never interned; the caller then builds
+    /// in full.
+    pub(crate) fn rebind(
+        space: &Arc<GraphSpace>,
+        prepared: &Arc<PreparedEnv>,
+        env: &TypeEnv,
+        weights: &WeightConfig,
+        goal: &Ty,
+        threads: usize,
+    ) -> Option<DerivationGraph> {
+        let mut replay = HoleReplay::new(&space.holes);
+        let mut decl_args: Vec<Option<Arc<[HoleTyId]>>> = vec![None; env.len()];
+        for &wanted in &space.variant_wanted {
+            for &decl_idx in prepared.select(wanted) {
+                if decl_args[decl_idx].is_none() {
+                    let (rho, _) = env.decls()[decl_idx].ty.uncurry();
+                    let args = rho
+                        .iter()
+                        .map(|t| replay.intern(t))
+                        .collect::<Option<Vec<HoleTyId>>>()?;
+                    decl_args[decl_idx] = Some(args.into());
+                }
+            }
+        }
+        let edges = resolve_edges(prepared, &decl_args, &space.variant_wanted, threads);
+        let root_ty = replay.intern(goal)?;
+        let holes = replay.finish();
+        Some(Self::assemble(
+            prepared,
+            Arc::clone(space),
+            edges,
+            holes,
+            root_ty,
+            weights,
+        ))
+    }
+
+    /// The shared tail of a build and a rebind: the point's weight regime
+    /// and, when monotone, the heuristic.
+    fn assemble(
+        prepared: &Arc<PreparedEnv>,
+        space: Arc<GraphSpace>,
+        edges: EdgeSlab,
+        holes: Arc<HoleTable>,
+        root_ty: HoleTyId,
+        weights: &WeightConfig,
+    ) -> DerivationGraph {
+        let mut graph = DerivationGraph {
+            base: Arc::clone(prepared),
+            space,
+            edges,
+            holes,
             init_env: prepared.init_env,
             root_ty,
-            lambda_weight,
-            monotone,
+            lambda_weight: weights.lambda_weight(),
+            monotone: prepared.weights_monotone(weights),
             heuristic: None,
             walk_memo: Mutex::new(HashMap::new()),
             walk_expansions: Mutex::new(HashMap::new()),
         };
         if graph.monotone {
-            graph.heuristic = Some(compute_heuristic(&graph, &node_envs));
+            graph.heuristic = Some(compute_heuristic(&graph));
         }
         graph
     }
 
+    /// The explored space this graph is bound over.
+    pub(crate) fn space(&self) -> &Arc<GraphSpace> {
+        &self.space
+    }
+
     /// Number of goal nodes.
     pub fn node_count(&self) -> usize {
-        self.edges.node_count()
+        self.space.node_count()
     }
 
     /// Number of declaration edges across all nodes.
@@ -409,12 +517,12 @@ impl DerivationGraph {
 
     /// Number of distinct hole types interned.
     pub fn hole_ty_count(&self) -> usize {
-        self.tys.len()
+        self.holes.tys.len()
     }
 
     /// The interned id of a hole type, if the graph knows it.
     pub fn hole_ty(&self, ty: &Ty) -> Option<HoleTyId> {
-        self.ty_ids.get(ty).copied()
+        self.holes.ids.get(ty).copied()
     }
 
     /// `true` when the graph carries the A* completion-cost heuristic (i.e.
@@ -442,7 +550,7 @@ impl DerivationGraph {
     /// Weight of the lambda binders a hole of type `ty` introduces when it is
     /// expanded (one `lambda_weight` per uncurried argument).
     fn hole_params_weight(&self, ty: HoleTyId) -> Weight {
-        Weight::new(self.lambda_weight.value() * self.tys[ty.as_usize()].args.len() as f64)
+        Weight::new(self.lambda_weight.value() * self.holes.tys[ty.as_usize()].args.len() as f64)
     }
 
     /// The sorted member types of an environment: base-store environments are
@@ -454,7 +562,7 @@ impl DerivationGraph {
         if raw < split {
             self.base.store.env_types(env)
         } else {
-            &self.scratch_envs[raw - split]
+            &self.space.scratch_envs[raw - split]
         }
     }
 
@@ -464,7 +572,7 @@ impl DerivationGraph {
         self.base
             .store
             .lookup_env(members)
-            .or_else(|| self.scratch_env_ids.get(members).copied())
+            .or_else(|| self.space.scratch_env_ids.get(members).copied())
     }
 
     /// Resolves the goal of a hole of type `ty` in context environment `ctx`:
@@ -472,7 +580,7 @@ impl DerivationGraph {
     /// binders) and its node, or `None` if the goal is uninhabited — in which
     /// case no expression containing such a hole can ever complete.
     fn resolve(&self, ctx: EnvId, ty: HoleTyId) -> Option<(EnvId, u32)> {
-        let info = &self.tys[ty.as_usize()];
+        let info = &self.holes.tys[ty.as_usize()];
         let members = self.env_members(ctx);
         let env = if info
             .arg_succs
@@ -487,7 +595,7 @@ impl DerivationGraph {
             merged.dedup();
             self.lookup_env(&merged)?
         };
-        let node = *self.goal_ids.get(&(env, info.ret))?;
+        let node = *self.space.goal_ids.get(&(env, info.ret))?;
         Some((env, node))
     }
 
@@ -546,6 +654,75 @@ fn intern_hole_ty(
     id
 }
 
+/// Pass 1's hole-type interning replayed against an explored space's table:
+/// the same recursion and order as [`intern_hole_ty`], with σ images looked
+/// up instead of interned. `order[new id]` is the type's id in the table.
+struct HoleReplay<'a> {
+    table: &'a Arc<HoleTable>,
+    order: Vec<HoleTyId>,
+    ids: HashMap<Ty, HoleTyId>,
+}
+
+impl<'a> HoleReplay<'a> {
+    fn new(table: &'a Arc<HoleTable>) -> Self {
+        HoleReplay {
+            table,
+            order: Vec::new(),
+            ids: HashMap::new(),
+        }
+    }
+
+    /// Interns `ty` and its uncurried arguments, or `None` when the table
+    /// lacks one of them.
+    fn intern(&mut self, ty: &Ty) -> Option<HoleTyId> {
+        if let Some(&id) = self.ids.get(ty) {
+            return Some(id);
+        }
+        let old = *self.table.ids.get(ty)?;
+        let (arg_tys, _) = ty.uncurry();
+        for arg in arg_tys {
+            self.intern(arg)?;
+        }
+        let id = HoleTyId(self.order.len() as u32);
+        self.order.push(old);
+        self.ids.insert(ty.clone(), id);
+        Some(id)
+    }
+
+    /// The replayed table: the space's own when the replay interned exactly
+    /// its types in its order (the common case), a renumbered copy of the
+    /// interned subset otherwise.
+    fn finish(self) -> Arc<HoleTable> {
+        if self
+            .order
+            .iter()
+            .map(|old| old.as_usize())
+            .eq(0..self.table.tys.len())
+        {
+            return Arc::clone(self.table);
+        }
+        let mut renumber = vec![HoleTyId(u32::MAX); self.table.tys.len()];
+        for (new, old) in self.order.iter().enumerate() {
+            renumber[old.as_usize()] = HoleTyId(new as u32);
+        }
+        let tys = self
+            .order
+            .iter()
+            .map(|old| {
+                let info = &self.table.tys[old.as_usize()];
+                HoleTy {
+                    ty: info.ty.clone(),
+                    ret: info.ret,
+                    args: info.args.iter().map(|a| renumber[a.as_usize()]).collect(),
+                    succ: info.succ,
+                    arg_succs: info.arg_succs.clone(),
+                }
+            })
+            .collect();
+        Arc::new(HoleTable { tys, ids: self.ids })
+    }
+}
+
 /// One worker's packed share of the edge-resolution pass: per-variant edge
 /// counts plus flat edge columns, concatenated by the assembly pass.
 #[derive(Default)]
@@ -566,8 +743,7 @@ struct EdgeChunk {
 fn resolve_edges(
     prepared: &PreparedEnv,
     decl_args: &[Option<Arc<[HoleTyId]>>],
-    node_offsets: Vec<u32>,
-    variant_wanted: Vec<SuccinctTyId>,
+    variant_wanted: &[SuccinctTyId],
     threads: usize,
 ) -> EdgeSlab {
     let resolve_chunk = |variants: &[SuccinctTyId]| -> EdgeChunk {
@@ -589,7 +765,7 @@ fn resolve_edges(
 
     let threads = threads.max(1).min(variant_wanted.len().max(1));
     let chunks: Vec<EdgeChunk> = if threads <= 1 {
-        vec![resolve_chunk(&variant_wanted)]
+        vec![resolve_chunk(variant_wanted)]
     } else {
         let per = variant_wanted.len().div_ceil(threads);
         std::thread::scope(|scope| {
@@ -606,14 +782,11 @@ fn resolve_edges(
 
     let edge_total = chunks.iter().map(|c| c.decl.len()).sum();
     let mut slab = EdgeSlab {
-        node_offsets,
-        variant_wanted,
-        variant_offsets: Vec::new(),
+        variant_offsets: Vec::with_capacity(variant_wanted.len() + 1),
         edge_decl: Vec::with_capacity(edge_total),
         edge_weight: Vec::with_capacity(edge_total),
         edge_args: Vec::with_capacity(edge_total),
     };
-    slab.variant_offsets.reserve(slab.variant_wanted.len() + 1);
     slab.variant_offsets.push(0);
     for chunk in chunks {
         for count in chunk.counts {
@@ -632,20 +805,20 @@ fn resolve_edges(
 /// and a hyperedge relaxes its head once every tail goal is finalized).
 /// Requires monotone (non-negative) weights — the caller only invokes it
 /// when [`DerivationGraph::monotone`] holds.
-fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic {
-    let node_count = graph.edges.node_count();
+fn compute_heuristic(graph: &DerivationGraph) -> Heuristic {
+    let node_count = graph.space.node_count();
 
     // Candidate binder types per succinct type: a binder only ever enters
     // scope as a hole's parameter, so its type is an interned hole type that
     // appears in some `args` list.
-    let mut is_param = vec![false; graph.tys.len()];
-    for info in &graph.tys {
+    let mut is_param = vec![false; graph.holes.tys.len()];
+    for info in &graph.holes.tys {
         for &a in info.args.iter() {
             is_param[a.as_usize()] = true;
         }
     }
     let mut binder_tys: HashMap<SuccinctTyId, Vec<HoleTyId>> = HashMap::new();
-    for (i, info) in graph.tys.iter().enumerate() {
+    for (i, info) in graph.holes.tys.iter().enumerate() {
         if is_param[i] {
             binder_tys
                 .entry(info.succ)
@@ -671,8 +844,8 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
     let mut ready: Vec<(Weight, u32)> = Vec::new();
     let mut resolve_memo: HashMap<(EnvId, HoleTyId), Option<(EnvId, u32)>> = HashMap::new();
 
-    for (v, &env_v) in node_envs.iter().enumerate().take(node_count) {
-        for vi in graph.edges.variants(v as u32) {
+    for (v, &env_v) in graph.space.node_envs.iter().enumerate().take(node_count) {
+        for vi in graph.space.variants(v as u32) {
             let decl_edges = graph.edges.edges(vi).map(|e| {
                 (
                     graph.edges.edge_weight[e],
@@ -680,13 +853,13 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
                 )
             });
             let binder_edges = binder_tys
-                .get(&graph.edges.variant_wanted[vi])
+                .get(&graph.space.variant_wanted[vi])
                 .into_iter()
                 .flatten()
                 .map(|&t| {
                     (
                         graph.lambda_weight,
-                        Arc::clone(&graph.tys[t.as_usize()].args),
+                        Arc::clone(&graph.holes.tys[t.as_usize()].args),
                     )
                 });
             'edge: for (head_weight, args) in decl_edges.chain(binder_edges) {
@@ -1517,13 +1690,13 @@ impl WalkState {
             };
             let filled_cost = filled.cost;
 
-            let info = &graph.tys[hole_ty.as_usize()];
+            let info = &graph.holes.tys[hole_ty.as_usize()];
             let fresh: Vec<(Param, HoleTyId)> = info
                 .args
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| {
-                    let ty = graph.tys[a.as_usize()].ty.clone();
+                    let ty = graph.holes.tys[a.as_usize()].ty.clone();
                     (Param::new(format!("var{}", scope.len() + i + 1), ty), a)
                 })
                 .collect();
@@ -1548,10 +1721,10 @@ impl WalkState {
             if !self.expansions.contains_key(&(node_env, node)) {
                 let memo = &mut self.memo;
                 let built: Arc<[CachedVariant]> = graph
-                    .edges
+                    .space
                     .variants(node)
                     .map(|vi| CachedVariant {
-                        wanted: graph.edges.variant_wanted[vi],
+                        wanted: graph.space.variant_wanted[vi],
                         edges: graph
                             .edges
                             .edges(vi)
@@ -1601,12 +1774,12 @@ impl WalkState {
                     .iter()
                     .copied()
                     .chain(params.iter())
-                    .filter(|(_, ty)| graph.tys[ty.as_usize()].succ == variant.wanted)
+                    .filter(|(_, ty)| graph.holes.tys[ty.as_usize()].succ == variant.wanted)
                     .map(|(param, ty)| {
                         (
                             Head::Binder(Arc::from(param.name.as_str())),
                             graph.lambda_weight,
-                            Arc::clone(&graph.tys[ty.as_usize()].args),
+                            Arc::clone(&graph.holes.tys[ty.as_usize()].args),
                             None,
                         )
                     });
@@ -1822,6 +1995,164 @@ mod tests {
         (walked, reference, graph)
     }
 
+    /// Asserts that two graphs agree on every table: goal nodes, variants,
+    /// overlay environments, edges, hole types (id for id) and heuristic.
+    fn assert_same_graph(a: &DerivationGraph, b: &DerivationGraph) {
+        assert_eq!(a.space.node_offsets, b.space.node_offsets);
+        assert_eq!(a.space.node_envs, b.space.node_envs);
+        assert_eq!(a.space.variant_wanted, b.space.variant_wanted);
+        assert_eq!(a.space.goal_ids, b.space.goal_ids);
+        assert_eq!(a.space.scratch_envs, b.space.scratch_envs);
+        assert_eq!(a.edges.variant_offsets, b.edges.variant_offsets);
+        assert_eq!(a.edges.edge_decl, b.edges.edge_decl);
+        assert_eq!(a.edges.edge_weight, b.edges.edge_weight);
+        assert_eq!(a.edges.edge_args, b.edges.edge_args);
+        assert_eq!(a.root_ty, b.root_ty);
+        assert_eq!(a.holes.ids, b.holes.ids);
+        let hole = |t: &HoleTy| {
+            (
+                t.ty.clone(),
+                t.ret,
+                t.args.to_vec(),
+                t.succ,
+                t.arg_succs.clone(),
+            )
+        };
+        assert_eq!(
+            a.holes.tys.iter().map(hole).collect::<Vec<_>>(),
+            b.holes.tys.iter().map(hole).collect::<Vec<_>>()
+        );
+        assert_eq!(a.monotone, b.monotone);
+        match (&a.heuristic, &b.heuristic) {
+            (Some(p), Some(s)) => assert_eq!(p.node_bound, s.node_bound),
+            (None, None) => {}
+            _ => panic!("heuristic presence differs"),
+        }
+    }
+
+    /// Explores `goal` at `env` and builds its graph in full.
+    fn full_graph(env: &TypeEnv, goal: &Ty) -> DerivationGraph {
+        let weights = WeightConfig::default();
+        let prepared = Arc::new(PreparedEnv::prepare(env, &weights));
+        let mut store = prepared.scratch();
+        let goal_succ = store.sigma(goal);
+        let space = explore(&prepared, &mut store, goal_succ, &ExploreLimits::default());
+        let patterns = generate_patterns(&mut store, &space);
+        DerivationGraph::build(&prepared, &mut store, &patterns, env, &weights, goal)
+    }
+
+    /// Rebinds `from`'s explored space to a fresh preparation of `env`.
+    fn rebound(from: &DerivationGraph, env: &TypeEnv, goal: &Ty) -> Option<DerivationGraph> {
+        let weights = WeightConfig::default();
+        let prepared = Arc::new(PreparedEnv::prepare(env, &weights));
+        assert!(prepared.same_sigma_space(&from.base));
+        DerivationGraph::rebind(&from.space, &prepared, env, &weights, goal, 2)
+    }
+
+    fn rebind_env(extra: Vec<Declaration>) -> TypeEnv {
+        let mut decls = vec![
+            Declaration::new("s", Ty::base("String"), DeclKind::Local),
+            Declaration::new("n", Ty::base("Int"), DeclKind::Local),
+            Declaration::new(
+                "fmt",
+                Ty::fun(
+                    vec![Ty::base("Int"), Ty::base("String")],
+                    Ty::base("String"),
+                ),
+                DeclKind::Imported,
+            ),
+            Declaration::new(
+                "apply",
+                Ty::fun(
+                    vec![Ty::fun(
+                        vec![Ty::base("Int"), Ty::base("Int")],
+                        Ty::base("String"),
+                    )],
+                    Ty::base("String"),
+                ),
+                DeclKind::Imported,
+            ),
+        ];
+        decls.extend(extra);
+        decls.into_iter().collect()
+    }
+
+    #[test]
+    fn rebind_over_a_shared_space_equals_a_full_build() {
+        let goal = Ty::base("String");
+        let original = full_graph(&rebind_env(Vec::new()), &goal);
+        // A renamed local and an appended declaration of an existing
+        // succinct type and weight: the same σ-environment, other edges.
+        let renamed: TypeEnv = rebind_env(vec![Declaration::new(
+            "t",
+            Ty::base("String"),
+            DeclKind::Local,
+        )])
+        .iter()
+        .map(|d| {
+            let mut d = d.clone();
+            if d.name == "s" {
+                d.name = "text".into();
+            }
+            d
+        })
+        .collect();
+        let rebound = rebound(&original, &renamed, &goal).expect("every hole type is known");
+        let fresh = full_graph(&renamed, &goal);
+        assert_same_graph(&rebound, &fresh);
+        assert!(Arc::ptr_eq(&rebound.holes, &original.holes));
+        let walked = generate_terms(&rebound, &renamed, 12, &GenerateLimits::default());
+        let reference = generate_terms(&fresh, &renamed, 12, &GenerateLimits::default());
+        assert_eq!(rendered(&walked), rendered(&reference));
+        assert_eq!(walked.steps, reference.steps);
+    }
+
+    #[test]
+    fn rebind_renumbers_the_hole_types_of_a_smaller_selection() {
+        let goal = Ty::fun(vec![Ty::base("Int")], Ty::base("String"));
+        let curried = Declaration::new(
+            "apply1",
+            Ty::fun(
+                vec![Ty::fun(vec![Ty::base("Int")], Ty::base("String"))],
+                Ty::base("String"),
+            ),
+            DeclKind::Imported,
+        );
+        let original = full_graph(&rebind_env(vec![curried]), &goal);
+        // Dropping `apply1` keeps every succinct type (apply's argument
+        // lowers to the same `{Int} -> String`), but the hole type
+        // `Int -> String` of apply1's argument is now interned last, as
+        // the goal, instead of among the edges' argument types.
+        let without: TypeEnv = rebind_env(Vec::new());
+        let rebound = rebound(&original, &without, &goal).expect("a subset of the hole types");
+        let fresh = full_graph(&without, &goal);
+        assert!(!Arc::ptr_eq(&rebound.holes, &original.holes));
+        assert_ne!(rebound.root_ty, original.root_ty);
+        assert_same_graph(&rebound, &fresh);
+        let walked = generate_terms(&rebound, &without, 12, &GenerateLimits::default());
+        let reference = generate_terms(&fresh, &without, 12, &GenerateLimits::default());
+        assert_eq!(rendered(&walked), rendered(&reference));
+        assert_eq!(walked.steps, reference.steps);
+    }
+
+    #[test]
+    fn rebind_refuses_a_hole_type_the_space_never_interned() {
+        let goal = Ty::base("String");
+        let original = full_graph(&rebind_env(Vec::new()), &goal);
+        // σ((Int -> String) -> String) equals σ(apply's type), so the
+        // σ-environment is unchanged, but the hole type `Int -> String`
+        // never occurred in the space.
+        let extended = rebind_env(vec![Declaration::new(
+            "apply1",
+            Ty::fun(
+                vec![Ty::fun(vec![Ty::base("Int")], Ty::base("String"))],
+                Ty::base("String"),
+            ),
+            DeclKind::Imported,
+        )]);
+        assert!(rebound(&original, &extended, &goal).is_none());
+    }
+
     fn rendered(outcome: &GenerateOutcome) -> Vec<(String, u64)> {
         outcome
             .terms
@@ -1880,26 +2211,7 @@ mod tests {
         // Includes thread counts exceeding the variant count.
         for threads in [2, 3, 8, 64] {
             let parallel = build(threads);
-            assert_eq!(parallel.edges.node_offsets, sequential.edges.node_offsets);
-            assert_eq!(
-                parallel.edges.variant_wanted,
-                sequential.edges.variant_wanted
-            );
-            assert_eq!(
-                parallel.edges.variant_offsets,
-                sequential.edges.variant_offsets
-            );
-            assert_eq!(parallel.edges.edge_decl, sequential.edges.edge_decl);
-            assert_eq!(parallel.edges.edge_weight, sequential.edges.edge_weight);
-            assert_eq!(parallel.edges.edge_args, sequential.edges.edge_args);
-            assert_eq!(parallel.goal_ids, sequential.goal_ids);
-            assert_eq!(parallel.root_ty, sequential.root_ty);
-            assert_eq!(parallel.ty_ids, sequential.ty_ids);
-            match (&parallel.heuristic, &sequential.heuristic) {
-                (Some(p), Some(s)) => assert_eq!(p.node_bound, s.node_bound),
-                (None, None) => {}
-                _ => panic!("heuristic presence must not depend on thread count"),
-            }
+            assert_same_graph(&parallel, &sequential);
             let walked = generate_terms(&parallel, &env, 10, &GenerateLimits::default());
             let reference = generate_terms(&sequential, &env, 10, &GenerateLimits::default());
             assert_eq!(rendered(&walked), rendered(&reference));

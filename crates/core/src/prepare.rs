@@ -414,34 +414,86 @@ impl PreparedEnv {
 
     /// Full byte-level identity against another preparation: the fingerprint,
     /// every index (`decl_succ`, `decl_weight`, `by_succ`, `ty_weight`,
-    /// `init_env`) and every store table (symbol names, type records, the
-    /// interned initial environment) must match, id for id. This is the
-    /// contract [`PreparedEnv::prepare_sharded`] documents; the
-    /// `baseline --check` shard-invariance gate and the property tests hold
-    /// arbitrary shard counts to it.
+    /// `init_env`) and every store table (symbol names, type records,
+    /// environments) must match, id for id. This is the contract [`PreparedEnv::prepare_sharded`] documents;
+    /// the `baseline --check` shard-invariance gate and the property tests
+    /// hold arbitrary shard counts to it.
     pub fn identical_to(&self, other: &PreparedEnv) -> bool {
-        if self.fingerprint != other.fingerprint
-            || self.init_env != other.init_env
-            || self.decl_succ != other.decl_succ
-            || self.decl_weight != other.decl_weight
-            || self.by_succ != other.by_succ
+        self.fingerprint == other.fingerprint
+            && self.decl_succ == other.decl_succ
+            && self.decl_weight == other.decl_weight
+            && self.by_succ == other.by_succ
+            && self.same_sigma_space(other)
+    }
+
+    /// `true` when exploration and pattern generation cannot tell the two
+    /// preparations apart: every store table (symbol names, type records,
+    /// environments) matches id for id, and so do the initial environment
+    /// and the per-type weights that order exploration. Declaration names,
+    /// individual weights and the `Select` index may differ. This is the
+    /// check behind every hit on [`PreparedEnv::sigma_space_digest`].
+    pub(crate) fn same_sigma_space(&self, other: &PreparedEnv) -> bool {
+        let (a, b) = (&self.store, &other.store);
+        if self.init_env != other.init_env
             || self.ty_weight != other.ty_weight
-            || self.store.ty_count() != other.store.ty_count()
-            || self.store.symbol_count() != other.store.symbol_count()
+            || a.ty_count() != b.ty_count()
+            || a.symbol_count() != b.symbol_count()
+            || a.env_count() != b.env_count()
         {
             return false;
         }
-        let tys_match = (0..self.store.ty_count() as u32).all(|i| {
+        (0..a.ty_count() as u32).all(|i| {
             let id = SuccinctTyId::from_index(i);
-            self.store.ty(id) == other.store.ty(id)
-        });
-        let symbols_match = (0..self.store.symbol_count() as u32).all(|i| {
+            a.ty(id) == b.ty(id)
+        }) && (0..a.symbol_count() as u32).all(|i| {
             let sym = Symbol::from_index(i);
-            self.store.base_name(sym) == other.store.base_name(sym)
-        });
-        tys_match
-            && symbols_match
-            && self.store.env_types(self.init_env) == other.store.env_types(other.init_env)
+            a.base_name(sym) == b.base_name(sym)
+        }) && (0..a.env_count() as u32).all(|i| {
+            let env = EnvId::from_index(i);
+            a.env_types(env) == b.env_types(env)
+        })
+    }
+
+    /// A digest of the σ-environment: every store table (symbol names, type
+    /// records, environments), the initial environment and the per-type
+    /// weights — everything exploration and pattern generation read, and
+    /// nothing else (declaration names, individual weights and the `Select`
+    /// index are left out). Equal σ-environments digest equally. The engine
+    /// caches explored spaces under it and verifies every hit table for
+    /// table, so a collision costs a full build, never a wrong answer.
+    pub fn sigma_space_digest(&self) -> u128 {
+        let store = &self.store;
+        let mut h = StableHasher::new();
+        h.write_u64(store.symbol_count() as u64);
+        for i in 0..store.symbol_count() as u32 {
+            h.write_str(store.base_name(Symbol::from_index(i)));
+        }
+        h.write_u64(store.ty_count() as u64);
+        for i in 0..store.ty_count() as u32 {
+            let ty = store.ty(SuccinctTyId::from_index(i));
+            h.write_u64(ty.ret.as_usize() as u64);
+            h.write_u64(ty.args.len() as u64);
+            for arg in &ty.args {
+                h.write_u64(arg.as_usize() as u64);
+            }
+        }
+        h.write_u64(store.env_count() as u64);
+        for i in 0..store.env_count() as u32 {
+            let members = store.env_types(EnvId::from_index(i));
+            h.write_u64(members.len() as u64);
+            for member in members {
+                h.write_u64(member.as_usize() as u64);
+            }
+        }
+        h.write_u64(self.init_env.as_usize() as u64);
+        let mut weights: Vec<(SuccinctTyId, Weight)> =
+            self.ty_weight.iter().map(|(&ty, &w)| (ty, w)).collect();
+        weights.sort_unstable_by_key(|&(ty, _)| ty);
+        for (ty, weight) in weights {
+            h.write_u64(ty.as_usize() as u64);
+            h.write_f64(weight.value());
+        }
+        h.finish()
     }
 }
 

@@ -24,10 +24,25 @@
 //! * [`Query`] — a builder-style request: goal type, `N`, and optional
 //!   per-query overrides of the engine's budgets, depth bound and weights.
 //! * The **artifact cache** — derivation graphs (with their A* heuristics)
-//!   are cached on the *engine*, keyed `(environment fingerprint, goal,
-//!   prover budgets)`, so structurally equal program points share graphs no
-//!   matter which session queried first. Builds are single-flight: any
-//!   number of concurrent queries for one key perform exactly one build.
+//!   are cached on the *engine* at two levels. A graph is keyed
+//!   `(environment fingerprint, goal, prover budgets)`, so structurally
+//!   equal program points share graphs no matter which session queried
+//!   first; builds are single-flight: any number of concurrent queries for
+//!   one key perform exactly one build. Below it, the **explored space** a
+//!   graph is bound over — what exploration and pattern generation produce,
+//!   which reads succinct types and environments only — is keyed
+//!   `(σ-space digest, goal, prover budgets)`. A graph-cache miss at a point
+//!   whose σ-environment was explored for the goal before (an edit that
+//!   appended, reweighted or removed declarations of existing types, or
+//!   another program point over the same API) rebinds that space: only the
+//!   graph's edges and heuristic are resolved against the point's own
+//!   declarations. The digest is computed on a point's first graph-cache
+//!   miss and every hit is verified table for table. A full build runs
+//!   instead when no such space is alive, when the rebind needs a hole type
+//!   the space never interned, for weight-override queries and under
+//!   [`SynthesisConfig::prune_dead_decls`]; a wall-clock-truncated
+//!   exploration is never shared. Graphs hold their space by `Arc` and the
+//!   engine only weakly, so spaces add no capacity of their own.
 //! * [`Session::update`] — the edit-time delta path: apply an [`EnvDelta`]
 //!   (add / remove / reweight declarations) and get a session for the edited
 //!   point whose results are byte-identical to a fresh [`Engine::prepare`]
@@ -79,7 +94,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -92,13 +107,14 @@ use crate::decl::{Declaration, TypeEnv};
 use crate::explore::{explore, ExploreLimits};
 use crate::genp::generate_patterns;
 use crate::gent::{CancelToken, GenerateLimits, RankedTerm};
-use crate::graph::{lock_recovering, DerivationGraph, WalkState};
+use crate::graph::{lock_recovering, DerivationGraph, GraphSpace, WalkState};
 use crate::prepare::{effective_sigma_shards, PreparedEnv};
 use crate::synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 use crate::weights::WeightConfig;
 
 /// The immutable synthesis engine: configuration plus the engine-level
-/// caches of prepared program points and derivation graphs.
+/// caches of prepared program points, derivation graphs and (weakly) the
+/// explored spaces graphs are bound over.
 ///
 /// `Engine` is `Send + Sync`; one instance can serve every thread of a
 /// deployment. Cloning is cheap and clones **share the caches** — a cloned
@@ -137,8 +153,17 @@ pub struct EngineStatsSnapshot {
     pub sigma_shards: usize,
     /// The configured [`SynthesisConfig::graph_build_threads`] knob.
     pub graph_build_threads: usize,
-    /// Derivation-graph builds across every session of this engine.
+    /// Derivation graphs constructed across every session of this engine:
+    /// full builds plus rebinds (`space_builds + graph_rebinds`).
     pub graph_build_count: usize,
+    /// Full builds: exploration, pattern generation and graph construction
+    /// run from scratch. With the default configuration at most one per
+    /// goal and σ-environment while a graph over that space stays cached.
+    pub space_builds: usize,
+    /// Graphs bound over an explored space another point of the same
+    /// σ-environment built: only the edges and the heuristic were
+    /// resolved again.
+    pub graph_rebinds: usize,
     /// Prepared program points currently cached.
     pub cached_point_count: usize,
     /// Derivation-graph artifacts currently cached.
@@ -221,11 +246,7 @@ impl Engine {
         // the quantity queries amortize — not the bookkeeping copies below.
         let prepare_time = started.elapsed();
         self.cache.record_prepare(shards, prepare_time);
-        let point = Arc::new(PreparedPoint {
-            env: env.clone(),
-            prepared,
-            prepare_time,
-        });
+        let point = Arc::new(PreparedPoint::new(env.clone(), prepared, prepare_time));
         let point = if capacity > 0 {
             self.cache
                 .insert_point(point, capacity, PointMatch::Canonical)
@@ -252,9 +273,10 @@ impl Engine {
         self.cache.prepares.load(Ordering::Relaxed)
     }
 
-    /// Number of derivation-graph builds across every session this engine
-    /// prepared. With warm caches, a batch over N structurally equal points
-    /// asking one goal performs exactly one build.
+    /// Number of derivation graphs constructed across every session this
+    /// engine prepared, full builds and rebinds alike. With warm caches, a
+    /// batch over N structurally equal points asking one goal performs
+    /// exactly one build.
     pub fn graph_build_count(&self) -> usize {
         self.cache.graph_builds.load(Ordering::Relaxed)
     }
@@ -329,6 +351,8 @@ impl Engine {
             sigma_shards: self.config.sigma_shards,
             graph_build_threads: self.config.graph_build_threads,
             graph_build_count: self.graph_build_count(),
+            space_builds: self.cache.space_builds.load(Ordering::Relaxed),
+            graph_rebinds: self.cache.graph_rebinds.load(Ordering::Relaxed),
             cached_point_count: self.cached_point_count(),
             cached_graph_count: self.cached_graph_count(),
             suspended_walk_count: self.suspended_walk_count(),
@@ -749,6 +773,26 @@ pub(crate) struct PreparedPoint {
     env: TypeEnv,
     prepared: Arc<PreparedEnv>,
     prepare_time: Duration,
+    /// [`PreparedEnv::sigma_space_digest`], computed on the point's first
+    /// graph-cache miss.
+    sigma_digest: OnceLock<u128>,
+}
+
+impl PreparedPoint {
+    fn new(env: TypeEnv, prepared: Arc<PreparedEnv>, prepare_time: Duration) -> PreparedPoint {
+        PreparedPoint {
+            env,
+            prepared,
+            prepare_time,
+            sigma_digest: OnceLock::new(),
+        }
+    }
+
+    fn sigma_digest(&self) -> u128 {
+        *self
+            .sigma_digest
+            .get_or_init(|| self.prepared.sigma_space_digest())
+    }
 }
 
 /// The inputs that determine a derivation graph: the program point's
@@ -764,11 +808,51 @@ struct ArtifactKey {
     prover_time_limit: Option<Duration>,
 }
 
+/// The inputs that determine an [`ExploredSpace`]: [`ArtifactKey`] with the
+/// σ-space digest in place of the fingerprint. Declaration names and
+/// individual weights are not part of it; they enter only when a graph's
+/// edges are resolved.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SpaceKey {
+    sigma_digest: u128,
+    goal: Ty,
+    max_explore_requests: usize,
+    prover_time_limit: Option<Duration>,
+}
+
+/// What exploration and pattern generation produced for one goal over one
+/// σ-environment (the paper's Figures 7 and 9 work on succinct types and
+/// environments only): the graph's goal nodes, variants, overlay
+/// environments and hole types, plus the statistics every query bound over
+/// it reports. Every graph holds its space by `Arc`; the engine's space
+/// cache holds only `Weak` references, so a space lives exactly as long as
+/// some graph over it does.
+#[derive(Debug)]
+pub(crate) struct ExploredSpace {
+    graph_space: Arc<GraphSpace>,
+    /// The preparation the space was explored over; a cache hit must match
+    /// it table for table ([`PreparedEnv::same_sigma_space`]).
+    source: Arc<PreparedEnv>,
+    reachability_terms: usize,
+    requests_processed: usize,
+    patterns: usize,
+    explore_truncated: bool,
+    /// `true` when the exploration truncation was wall-clock-driven — a
+    /// nondeterministic outcome that must not be cached or shared.
+    time_truncated: bool,
+    /// Sorted names of every base type exploration requested. A declaration
+    /// can influence this graph — as a match, a queue weight or a `Select`
+    /// edge — only if its return-type name appears here; the delta path
+    /// carries an artifact across an edit exactly when no changed
+    /// declaration's return type does.
+    touched_rets: Box<[String]>,
+}
+
 /// Everything a query needs that does not depend on `n` or the reconstruction
-/// budgets: the derivation graph plus the statistics and timings of the
-/// phases that built it. Cached per [`ArtifactKey`] on the engine, so
-/// repeated queries — from any session addressing the same program point —
-/// replay the recorded stats and walk the same graph.
+/// budgets: the derivation graph, the explored space it is bound over, and
+/// the timings of the phases that built it. Cached per [`ArtifactKey`] on
+/// the engine, so repeated queries — from any session addressing the same
+/// program point — replay the recorded stats and walk the same graph.
 #[derive(Debug)]
 pub(crate) struct QueryArtifacts {
     graph: DerivationGraph,
@@ -777,21 +861,11 @@ pub(crate) struct QueryArtifacts {
     /// rendering always resolves against it — never against the querying
     /// session's (possibly permuted, possibly delta-extended) environment.
     point: Arc<PreparedPoint>,
+    space: Arc<ExploredSpace>,
+    /// Exploration time; zero for a graph rebound over an existing space.
     explore_time: Duration,
+    /// Pattern generation plus graph construction, or the rebind.
     patterns_time: Duration,
-    reachability_terms: usize,
-    requests_processed: usize,
-    patterns: usize,
-    explore_truncated: bool,
-    /// `true` when the exploration truncation was wall-clock-driven — a
-    /// nondeterministic outcome that must not be cached.
-    time_truncated: bool,
-    /// Sorted names of every base type exploration requested. A declaration
-    /// can influence this graph — as a match, a queue weight or a `Select`
-    /// edge — only if its return-type name appears here; the delta path
-    /// carries an artifact across an edit exactly when no changed
-    /// declaration's return type does.
-    touched_rets: Box<[String]>,
     /// Suspended walk states parked on this graph by finished streams, so a
     /// follow-up query under the same reconstruction budgets resumes the
     /// walk — popping only the delta — instead of replaying it. Because the
@@ -930,6 +1004,7 @@ struct AnalysisSlot {
 type PointMap = HashMap<EnvFingerprint, Stamped<Arc<PreparedPoint>>>;
 type GraphMap = HashMap<ArtifactKey, Stamped<GraphSlot>>;
 type AnalysisMap = HashMap<EnvFingerprint, Stamped<AnalysisSlot>>;
+type SpaceMap = HashMap<SpaceKey, Weak<ExploredSpace>>;
 
 /// How a point-cache lookup decides whether a cached environment may stand
 /// in for the requested one.
@@ -977,9 +1052,11 @@ fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
 }
 
 /// The engine-level content-addressed caches: prepared program points keyed
-/// by [`EnvFingerprint`], and query artifacts (derivation graphs) keyed by
-/// `(fingerprint, goal, prover budgets)`. Shared — behind one `Arc` — by the
-/// engine, its clones, and every session it prepares.
+/// by [`EnvFingerprint`], query artifacts (derivation graphs) keyed by
+/// `(fingerprint, goal, prover budgets)`, and — weakly — the explored spaces
+/// those graphs are bound over, keyed by `(σ-space digest, goal, prover
+/// budgets)`. Shared — behind one `Arc` — by the engine, its clones, and
+/// every session it prepares.
 ///
 /// Both caches survive panics: they only ever hold fully built values, so
 /// poisoned locks are recovered (`into_inner`) rather than propagated, and
@@ -992,6 +1069,9 @@ pub(crate) struct ArtifactCache {
     /// Environment analyses keyed by fingerprint, LRU-bounded by
     /// [`SynthesisConfig::analysis_cache_capacity`].
     analyses: RwLock<AnalysisMap>,
+    /// Explored spaces, held weakly: bounded by the graphs alive, not by a
+    /// capacity of its own.
+    spaces: Mutex<SpaceMap>,
     /// Monotone stamp source for both caches' LRU recency ordering.
     clock: AtomicU64,
     /// σ-lowering runs (full and incremental preparations).
@@ -1002,8 +1082,12 @@ pub(crate) struct ArtifactCache {
     prepare_time_ns: AtomicU64,
     /// Portion of `prepare_time_ns` spent in sharded parallel runs.
     sharded_prepare_time_ns: AtomicU64,
-    /// Derivation-graph builds across every session of the engine.
+    /// Derivation graphs constructed across every session of the engine.
     graph_builds: AtomicUsize,
+    /// Of those, full builds (explore + GenerateP + build).
+    space_builds: AtomicUsize,
+    /// Of those, rebinds over an existing explored space.
+    graph_rebinds: AtomicUsize,
     /// Environment analyses performed (analysis-cache misses).
     analyses_run: AtomicUsize,
 }
@@ -1014,12 +1098,15 @@ impl ArtifactCache {
             points: RwLock::new(HashMap::new()),
             graphs: RwLock::new(HashMap::new()),
             analyses: RwLock::new(HashMap::new()),
+            spaces: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             prepares: AtomicUsize::new(0),
             sharded_prepares: AtomicUsize::new(0),
             prepare_time_ns: AtomicU64::new(0),
             sharded_prepare_time_ns: AtomicU64::new(0),
             graph_builds: AtomicUsize::new(0),
+            space_builds: AtomicUsize::new(0),
+            graph_rebinds: AtomicUsize::new(0),
             analyses_run: AtomicUsize::new(0),
         }
     }
@@ -1224,6 +1311,27 @@ impl ArtifactCache {
         Some(cell)
     }
 
+    /// The live explored space under `key`, if its source preparation has
+    /// the same σ-environment as `prepared` (pointer-fast for the point that
+    /// explored it, table for table otherwise; a digest collision misses).
+    fn lookup_space(
+        &self,
+        key: &SpaceKey,
+        prepared: &Arc<PreparedEnv>,
+    ) -> Option<Arc<ExploredSpace>> {
+        let space = lock_recovering(&self.spaces).get(key)?.upgrade()?;
+        (Arc::ptr_eq(&space.source, prepared) || space.source.same_sigma_space(prepared))
+            .then_some(space)
+    }
+
+    /// Publishes a freshly explored space under `key`, replacing whatever
+    /// the key held and forgetting spaces no graph holds any more.
+    fn publish_space(&self, key: SpaceKey, space: &Arc<ExploredSpace>) {
+        let mut spaces = lock_recovering(&self.spaces);
+        spaces.retain(|_, held| held.strong_count() > 0);
+        spaces.insert(key, Arc::downgrade(space));
+    }
+
     /// Removes `key` if it still maps to `cell` — used to drop
     /// wall-clock-truncated builds, which are a property of the moment and
     /// must not stay cached.
@@ -1333,8 +1441,12 @@ fn envs_equivalent(a: &TypeEnv, b: &TypeEnv) -> bool {
 /// one [`Engine`] (or its clones) — share the prepared point *and* the
 /// derivation-graph cache: the first query for a goal builds the graph (and
 /// its A* completion bounds), every later query for it, from any such
-/// session, goes straight to reconstruction. Builds are single-flight, so
-/// concurrent first queries perform exactly one build. Only completely
+/// session, goes straight to reconstruction. Sessions whose environments
+/// merely share a σ-environment (the same succinct types, initial
+/// environment and per-type weights) share the explored space instead: the
+/// first of them to ask a goal explores it, the others resolve only the
+/// graph's edges and heuristic — see the module docs. Builds are
+/// single-flight, so concurrent first queries perform exactly one build. Only completely
 /// explored graphs stay cached — a build whose exploration hit the prover's
 /// wall-clock budget serves its queries and is discarded, so a transiently
 /// slow machine can never pin incomplete results onto the engine. Cached
@@ -1398,6 +1510,50 @@ impl Session {
         self.cache.graph_builds.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Explores, generates patterns and builds the graph for `goal` at
+    /// `point` from scratch.
+    fn full_build(
+        &self,
+        point: &Arc<PreparedPoint>,
+        config: &SynthesisConfig,
+        goal: &Ty,
+    ) -> QueryArtifacts {
+        self.count_build();
+        self.cache.space_builds.fetch_add(1, Ordering::Relaxed);
+        build_artifacts(point, config, goal)
+    }
+
+    /// The graph for `goal` at this session's point: rebound over the
+    /// explored space of another point with the same σ-environment when one
+    /// is alive, built in full (and its space published) otherwise. A full
+    /// build also replaces a rebind that needs a hole type the space never
+    /// interned, and every build under
+    /// [`SynthesisConfig::prune_dead_decls`], whose graph is explored over a
+    /// pruned point. A wall-clock-truncated space is never published.
+    fn build_or_rebind(&self, config: &SynthesisConfig, goal: &Ty) -> QueryArtifacts {
+        if config.prune_dead_decls {
+            return self.full_build(&self.point, config, goal);
+        }
+        let key = SpaceKey {
+            sigma_digest: self.point.sigma_digest(),
+            goal: goal.clone(),
+            max_explore_requests: config.max_explore_requests,
+            prover_time_limit: config.prover_time_limit,
+        };
+        if let Some(space) = self.cache.lookup_space(&key, &self.point.prepared) {
+            if let Some(artifacts) = rebind_artifacts(&self.point, config, goal, space) {
+                self.count_build();
+                self.cache.graph_rebinds.fetch_add(1, Ordering::Relaxed);
+                return artifacts;
+            }
+        }
+        let artifacts = self.full_build(&self.point, config, goal);
+        if !artifacts.space.time_truncated {
+            self.cache.publish_space(key, &artifacts.space);
+        }
+        artifacts
+    }
+
     /// Answers one query against this program point.
     ///
     /// Does not re-run σ (unless the query overrides the weight
@@ -1405,7 +1561,11 @@ impl Session {
     /// the engine-cached derivation graph when the goal was queried before —
     /// by this session or any session addressing a structurally equal point
     /// — the repeated-query fast path that skips exploration and pattern
-    /// generation entirely.
+    /// generation entirely. On a graph-cache miss, a goal explored before at
+    /// any point with the same σ-environment (the same succinct types,
+    /// initial environment and per-type weights, whatever the declaration
+    /// names and individual weights) still skips both phases: only the
+    /// graph's edges and heuristic are resolved again.
     pub fn query(&self, query: &Query) -> SynthesisResult {
         self.query_stream(query).into_result(query.n)
     }
@@ -1432,13 +1592,12 @@ impl Session {
                 // path; the shared session is left untouched). The private
                 // artifact dies with the stream, so its suspended walk can
                 // never resume under different weights.
-                let point = Arc::new(PreparedPoint {
-                    env: self.point.env.clone(),
-                    prepared: Arc::new(PreparedEnv::prepare(&self.point.env, weights)),
-                    prepare_time: Duration::ZERO,
-                });
-                self.count_build();
-                let artifacts = Arc::new(build_artifacts(&point, &config, &query.goal));
+                let point = Arc::new(PreparedPoint::new(
+                    self.point.env.clone(),
+                    Arc::new(PreparedEnv::prepare(&self.point.env, weights)),
+                    Duration::ZERO,
+                ));
+                let artifacts = Arc::new(self.full_build(&point, &config, &query.goal));
                 let decls = point.env.len();
                 let distinct = point.prepared.distinct_succinct_types();
                 return TermStream::open(artifacts, config, decls, distinct, query.cancel.clone());
@@ -1460,18 +1619,14 @@ impl Session {
         };
         let artifacts = match cell {
             // Caching disabled, or the key is occupied by a structurally
-            // different program point (a fingerprint collision): build
-            // privately, per query, caching nothing.
-            None => {
-                self.count_build();
-                Arc::new(build_artifacts(&self.point, &config, &query.goal))
-            }
+            // different program point (a fingerprint collision): build (or
+            // rebind) privately, per query, caching no graph.
+            None => Arc::new(self.build_or_rebind(&config, &query.goal)),
             Some((key, cell)) => {
-                let artifacts = Arc::clone(cell.get_or_init(|| {
-                    self.count_build();
-                    Arc::new(build_artifacts(&self.point, &config, &query.goal))
-                }));
-                if artifacts.time_truncated {
+                let artifacts = Arc::clone(
+                    cell.get_or_init(|| Arc::new(self.build_or_rebind(&config, &query.goal))),
+                );
+                if artifacts.space.time_truncated {
                     // A wall-clock-truncated exploration is a property of
                     // this moment, not of the goal: caching it would pin an
                     // incomplete graph on the engine forever. Use it for the
@@ -1505,6 +1660,10 @@ impl Session {
     /// * removals, and deltas larger than a quarter of the environment,
     ///   fall back to a fresh preparation (a removal shifts the interning
     ///   sequence, so nothing can be proven bit-identical cheaply);
+    /// * a graph the edit can reach is not carried, but when the edited
+    ///   point keeps the σ-environment (say, a new local of a type already
+    ///   in scope) its next query rebinds the explored space instead of
+    ///   exploring again;
     /// * a no-op delta (or one whose result is already cached **with the
     ///   identical declaration order**) returns a session sharing the
     ///   existing point outright. Unlike [`Engine::prepare`], this path
@@ -1570,11 +1729,7 @@ impl Session {
         };
         let prepare_time = started.elapsed();
         self.cache.record_prepare(shards, prepare_time);
-        let point = Arc::new(PreparedPoint {
-            env: new_env,
-            prepared,
-            prepare_time,
-        });
+        let point = Arc::new(PreparedPoint::new(new_env, prepared, prepare_time));
 
         if incremental && self.config.graph_cache_capacity > 0 {
             // Selective carry-over: a cached graph survives the edit iff a
@@ -1597,11 +1752,12 @@ impl Session {
                     &point,
                     self.config.graph_cache_capacity,
                     |artifacts| {
-                        !artifacts.explore_truncated
-                            && !artifacts.time_truncated
+                        let space = &artifacts.space;
+                        !space.explore_truncated
+                            && !space.time_truncated
                             && changed
                                 .iter()
-                                .all(|ret| artifacts.touched_rets.binary_search(ret).is_err())
+                                .all(|ret| space.touched_rets.binary_search(ret).is_err())
                     },
                 );
             }
@@ -1783,11 +1939,7 @@ fn pruned_point(
         .map(|(_, decl)| decl.clone())
         .collect();
     let prepared = Arc::new(PreparedEnv::prepare(&env, &config.weights));
-    Some(Arc::new(PreparedPoint {
-        env,
-        prepared,
-        prepare_time: Duration::ZERO,
-    }))
+    Some(Arc::new(PreparedPoint::new(env, prepared, Duration::ZERO)))
 }
 
 /// Runs exploration, pattern generation and graph compilation for one goal —
@@ -1854,19 +2006,53 @@ fn build_artifacts_inner(
         .map(|&sym| store.base_name(sym).to_owned())
         .collect();
 
-    QueryArtifacts {
-        graph,
-        point: Arc::clone(point),
-        explore_time,
-        patterns_time,
+    let explored = Arc::new(ExploredSpace {
+        graph_space: Arc::clone(graph.space()),
+        source: Arc::clone(prepared),
         reachability_terms: space.terms.len(),
         requests_processed: space.requests_processed,
         patterns: patterns.len(),
         explore_truncated: space.truncated,
         time_truncated: space.time_truncated,
         touched_rets: touched.into_iter().collect::<Vec<_>>().into_boxed_slice(),
+    });
+    QueryArtifacts {
+        graph,
+        point: Arc::clone(point),
+        space: explored,
+        explore_time,
+        patterns_time,
         suspended: Mutex::new(SuspendedWalks::default()),
     }
+}
+
+/// Binds `space` — explored at another point of the same σ-environment — to
+/// `point`: re-resolves the graph's edges and heuristic only (see
+/// [`DerivationGraph::rebind`]). `None` when a selected declaration needs a
+/// hole type the space never interned.
+fn rebind_artifacts(
+    point: &Arc<PreparedPoint>,
+    config: &SynthesisConfig,
+    goal: &Ty,
+    space: Arc<ExploredSpace>,
+) -> Option<QueryArtifacts> {
+    let started = Instant::now();
+    let graph = DerivationGraph::rebind(
+        &space.graph_space,
+        &point.prepared,
+        &point.env,
+        &config.weights,
+        goal,
+        config.graph_build_threads,
+    )?;
+    Some(QueryArtifacts {
+        graph,
+        point: Arc::clone(point),
+        space,
+        explore_time: Duration::ZERO,
+        patterns_time: started.elapsed(),
+        suspended: Mutex::new(SuspendedWalks::default()),
+    })
 }
 
 /// A lazily advancing stream of ranked completions for one query — the
@@ -2023,13 +2209,13 @@ impl TermStream {
             stats: SynthesisStats {
                 initial_declarations: self.session_decls,
                 distinct_succinct_types: self.session_distinct,
-                reachability_terms: self.artifacts.reachability_terms,
-                requests_processed: self.artifacts.requests_processed,
-                patterns: self.artifacts.patterns,
+                reachability_terms: self.artifacts.space.reachability_terms,
+                requests_processed: self.artifacts.space.requests_processed,
+                patterns: self.artifacts.space.patterns,
                 reconstruction_steps: walk_steps,
                 reconstruction_pruned_enqueues: state.pruned_enqueues(),
                 astar: state.astar(),
-                truncated: self.artifacts.explore_truncated || walk_truncated,
+                truncated: self.artifacts.space.explore_truncated || walk_truncated,
                 has_more: n < emitted.len() || !state.exhausted(),
                 resumed: self.resumed,
                 reconstruction_new_steps: state.steps() - self.steps_at_checkout,

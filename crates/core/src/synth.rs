@@ -168,9 +168,11 @@ pub struct Snippet {
 /// Wall-clock breakdown of one query (the Prove / Recon columns of Table 2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Exploration phase duration.
+    /// Exploration phase duration; zero when the query's graph was rebound
+    /// over a space explored at another point of the same σ-environment.
     pub explore: Duration,
-    /// Pattern generation phase duration.
+    /// Pattern generation phase duration (with graph construction), or the
+    /// duration of the rebind.
     pub patterns: Duration,
     /// Term reconstruction phase duration.
     pub reconstruction: Duration,

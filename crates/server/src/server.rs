@@ -12,7 +12,7 @@
 //! executes via [`Server::execute`].
 //!
 //! Admission control is deliberately boring: page sizes clamp to
-//! [`ServerConfig::max_n`], per-request step/time budgets can only *lower*
+//! [`ServerConfig::max_n`], per-request step/time/depth budgets can only *lower*
 //! the engine's configured caps (never raise them), and `env/open` beyond
 //! [`ServerConfig::max_sessions`] is refused — so one pathological client
 //! request cannot starve the loop or grow state without bound.
@@ -414,7 +414,9 @@ impl Server {
             );
         }
         if let Some(depth) = optional_u64(params, "max_depth")? {
-            query = query.with_max_depth(depth as usize);
+            let depth = depth as usize;
+            query =
+                query.with_max_depth(engine_config.max_depth.map_or(depth, |cap| depth.min(cap)));
         }
         if let Some(ms) = optional_u64(params, "timeout_ms")? {
             let requested = Duration::from_millis(ms);
@@ -513,6 +515,8 @@ impl Server {
                         Json::from(engine.graph_build_threads),
                     ),
                     ("graph_build_count", Json::from(engine.graph_build_count)),
+                    ("space_builds", Json::from(engine.space_builds)),
+                    ("graph_rebinds", Json::from(engine.graph_rebinds)),
                     ("cached_point_count", Json::from(engine.cached_point_count)),
                     ("cached_graph_count", Json::from(engine.cached_graph_count)),
                     (
@@ -671,4 +675,48 @@ fn session_summary(id: u64, session: &Session) -> Json {
         ),
         ("decls", Json::from(session.env().len())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use insynth_core::SynthesisConfig;
+
+    fn terms(response: &Json) -> Vec<String> {
+        response
+            .get("result")
+            .and_then(|result| result.get("values"))
+            .and_then(Json::as_arr)
+            .expect("a completion result")
+            .iter()
+            .map(|value| value.get("term").and_then(Json::as_str).unwrap().to_owned())
+            .collect()
+    }
+
+    #[test]
+    fn max_depth_override_cannot_raise_the_engine_cap() {
+        let engine = Engine::new(SynthesisConfig::default().with_max_depth(2));
+        let server = Server::new(engine, ServerConfig::default());
+        server.handle_line(
+            r#"{"id": 1, "method": "env/open", "params": {"env": [{"name": "a", "ty": "A"}, {"name": "f", "ty": {"args": ["A"], "ret": "B"}}, {"name": "g", "ty": {"args": ["B"], "ret": "C"}}]}}"#,
+        );
+        let complete = |id: u64, depth: &str| {
+            server.handle_line(&format!(
+                r#"{{"id": {id}, "method": "completion/complete", "params": {{"session": 1, "goal": "C"{depth}}}}}"#
+            ))
+        };
+        // g(f(a)) has depth 3: beyond the engine's cap, and a request for
+        // depth 5 must not lift it.
+        assert!(terms(&complete(2, "")).is_empty());
+        assert!(terms(&complete(3, r#", "max_depth": 5"#)).is_empty());
+        assert!(terms(&complete(4, r#", "max_depth": 1"#)).is_empty());
+        let uncapped = Server::new(Engine::default(), ServerConfig::default());
+        uncapped.handle_line(
+            r#"{"id": 1, "method": "env/open", "params": {"env": [{"name": "a", "ty": "A"}, {"name": "f", "ty": {"args": ["A"], "ret": "B"}}, {"name": "g", "ty": {"args": ["B"], "ret": "C"}}]}}"#,
+        );
+        let response = uncapped.handle_line(
+            r#"{"id": 2, "method": "completion/complete", "params": {"session": 1, "goal": "C", "max_depth": 5}}"#,
+        );
+        assert_eq!(terms(&response), vec!["g(f(a))".to_owned()]);
+    }
 }

@@ -187,6 +187,14 @@ fn scripted_session_is_byte_stable_and_honors_the_protocol() {
         field(result, &["engine", "graph_build_count"]).as_u64(),
         Some(2)
     );
+    // The update appended a declaration of a type already in scope: the
+    // edited point keeps its σ-environment, so its graph was rebound over
+    // the first exploration instead of exploring again.
+    assert_eq!(field(result, &["engine", "space_builds"]).as_u64(), Some(1));
+    assert_eq!(
+        field(result, &["engine", "graph_rebinds"]).as_u64(),
+        Some(1)
+    );
     assert_eq!(field(result, &["completions", "count"]).as_u64(), Some(4));
     assert_eq!(field(result, &["completions", "values"]).as_u64(), Some(9));
     assert_eq!(field(result, &["completions", "resumed"]).as_u64(), Some(2));

@@ -140,7 +140,18 @@
 //! on the **engine**, keyed `(environment fingerprint, goal, prover
 //! budgets)`, so repeated queries — from any session addressing a
 //! structurally equal point — skip straight to reconstruction, and builds
-//! are single-flight under concurrency. Both caches are bounded
+//! are single-flight under concurrency. One level down, the **explored
+//! space** of a goal (exploration and pattern generation, which see only
+//! succinct types and environments) is shared by every point with the same
+//! σ-environment: after an edit that keeps it, or at another program point
+//! over the same API, a graph-cache miss re-resolves only the graph's edges
+//! and heuristic from the point's own declarations. A full build runs when
+//! no graph over such a space is alive, when a declaration needs a hole type
+//! the space never interned, for weight-override queries and with
+//! `SynthesisConfig::prune_dead_decls`; wall-clock-truncated explorations
+//! are never shared. `EngineStatsSnapshot::{space_builds, graph_rebinds}`
+//! split `graph_build_count` between the two. Spaces are held weakly and
+//! need no bound of their own; the point and graph caches are bounded
 //! (`SynthesisConfig::graph_cache_capacity`, default 64 graphs, and
 //! `SynthesisConfig::point_cache_capacity`, default 32 prepared points;
 //! least-recently-used eviction), so long-lived engines stay bounded in

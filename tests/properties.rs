@@ -24,6 +24,10 @@
 //!   to a fresh `Engine::prepare` of the edited environment, for random
 //!   add/remove/reweight deltas including negative weight overrides (which
 //!   flip the walk into its best-first fallback),
+//! * explored-space sharing — a point whose σ-environment was explored
+//!   before (renamed declarations; appends of existing types, removals and
+//!   reweights) rebinds only the graph's edges and heuristic and answers
+//!   byte-identically to a fresh engine,
 //! * resumable streaming — `query(n=a)` then `query(n=a+b)` on one session
 //!   (which resumes the suspended walk, popping only the delta) answers
 //!   byte-identically to a one-shot `query(n=a+b)` on a cold engine, in both
@@ -443,6 +447,68 @@ proptest! {
         let from_fresh = fresh.query(&query);
         prop_assert_eq!(result_key(&from_updated), result_key(&from_fresh));
         prop_assert_eq!(stats_key(&from_updated), stats_key(&from_fresh));
+    }
+
+    #[test]
+    fn rebinding_explored_spaces_is_byte_identical_to_fresh_preparation(
+        env in arb_env(),
+        goal in arb_goal(),
+        adds in vec((0usize..8, 0u8..3), 0..3),
+        removes in vec(0usize..8, 0..2),
+        reweights in vec((0usize..8, 0u32..88), 0..3),
+    ) {
+        // The explored-space contract: a graph-cache miss at a point whose
+        // σ-environment was explored before rebinds the graph's edges and
+        // heuristic over the cached space, and must answer exactly like an
+        // independent engine preparing the point from scratch. Renaming
+        // every declaration keeps the σ-environment, so it must rebind;
+        // appends of existing types, removals and reweights may or may not
+        // keep it (the engine decides), and must be identical either way.
+        let config = SynthesisConfig::unbounded().with_max_depth(3);
+        let engine = Engine::new(config.clone());
+        let query = Query::new(goal).with_n(24);
+        let _ = engine.prepare(&env).query(&query);
+
+        let renamed: TypeEnv = env
+            .iter()
+            .map(|decl| {
+                let mut decl = decl.clone();
+                decl.name = format!("r{}", decl.name);
+                decl
+            })
+            .collect();
+        let rebinds = engine.stats().graph_rebinds;
+        let session = engine.prepare(&renamed);
+        let from_renamed = session.query(&query);
+        prop_assert_eq!(engine.stats().graph_rebinds, rebinds + 1, "renaming keeps the σ-environment");
+        let fresh = Engine::new(config.clone()).prepare(&renamed).query(&query);
+        prop_assert_eq!(result_key(&from_renamed), result_key(&fresh));
+        prop_assert_eq!(stats_key(&from_renamed), stats_key(&fresh));
+
+        let mut delta = EnvDelta::new();
+        for (i, (idx, kind)) in adds.into_iter().enumerate() {
+            let kind = match kind {
+                0 => DeclKind::Local,
+                1 => DeclKind::Class,
+                _ => DeclKind::Imported,
+            };
+            let ty = renamed.decls()[idx % renamed.len()].ty.clone();
+            delta = delta.add(Declaration::simple(format!("new{i}"), ty, kind));
+        }
+        for idx in removes {
+            delta = delta.remove(renamed.decls()[idx % renamed.len()].name.clone());
+        }
+        for (idx, weight) in reweights {
+            delta = delta.reweight(
+                renamed.decls()[idx % renamed.len()].name.clone(),
+                f64::from(weight) / 2.0 - 4.0,
+            );
+        }
+        let updated = session.update(&delta);
+        let from_updated = updated.query(&query);
+        let fresh = Engine::new(config).prepare(&delta.apply(&renamed)).query(&query);
+        prop_assert_eq!(result_key(&from_updated), result_key(&fresh));
+        prop_assert_eq!(stats_key(&from_updated), stats_key(&fresh));
     }
 
     #[test]

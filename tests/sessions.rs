@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use insynth::apimodel::{extract, javaapi, ProgramPoint};
 use insynth::core::{
-    BatchRequest, DeclKind, Declaration, Engine, EnvDelta, Query, Session, SynthesisConfig,
-    SynthesisResult, TypeEnv,
+    BatchRequest, DeclKind, Declaration, Engine, EngineStatsSnapshot, EnvDelta, Query, Session,
+    SynthesisConfig, SynthesisResult, TypeEnv,
 };
 use insynth::corpus::synthetic_corpus;
 use insynth::lambda::Ty;
@@ -501,4 +502,205 @@ fn reaching_edit_drops_the_suspended_walk() {
     let again = session.query(&query);
     assert!(again.stats.resumed);
     assert_eq!(fingerprint(&again), fingerprint(&before));
+}
+
+/// `(space_builds, graph_rebinds, graph_build_count)` of an engine.
+fn build_split(stats: EngineStatsSnapshot) -> (usize, usize, usize) {
+    (
+        stats.space_builds,
+        stats.graph_rebinds,
+        stats.graph_build_count,
+    )
+}
+
+/// Asserts that `result` answers exactly like an independent engine
+/// preparing `env` afresh: terms, weight bits and search statistics.
+fn assert_fresh_identical(result: &SynthesisResult, env: &TypeEnv, query: &Query) {
+    let fresh = Engine::new(SynthesisConfig::default())
+        .prepare(env)
+        .query(query);
+    assert_eq!(fingerprint(result), fingerprint(&fresh));
+    assert_eq!(
+        result.stats.requests_processed,
+        fresh.stats.requests_processed
+    );
+    assert_eq!(result.stats.patterns, fresh.stats.patterns);
+    assert_eq!(
+        result.stats.reconstruction_steps,
+        fresh.stats.reconstruction_steps
+    );
+    assert_eq!(result.stats.truncated, fresh.stats.truncated);
+}
+
+/// An environment whose σ-environment also covers `(Int → String) →
+/// String`: `apply`'s argument `Int → Int → String` lowers to `{Int} →
+/// String` too.
+fn hole_env() -> TypeEnv {
+    vec![
+        Declaration::simple("s", Ty::base("String"), DeclKind::Local),
+        Declaration::simple("n", Ty::base("Int"), DeclKind::Local),
+        Declaration::simple(
+            "fmt",
+            Ty::fun(
+                vec![Ty::base("Int"), Ty::base("String")],
+                Ty::base("String"),
+            ),
+            DeclKind::Imported,
+        ),
+        Declaration::simple(
+            "apply",
+            Ty::fun(
+                vec![Ty::fun(
+                    vec![Ty::base("Int"), Ty::base("Int")],
+                    Ty::base("String"),
+                )],
+                Ty::base("String"),
+            ),
+            DeclKind::Imported,
+        ),
+    ]
+    .into_iter()
+    .collect()
+}
+
+#[test]
+fn two_points_with_one_sigma_environment_explore_each_goal_once() {
+    let engine = Engine::new(SynthesisConfig::default());
+    let io = io_point_env();
+    // Other local names, same types in the same order: a different program
+    // point (and fingerprint) over the same σ-environment.
+    let renamed: TypeEnv = io
+        .iter()
+        .map(|decl| {
+            let mut decl = decl.clone();
+            if decl.name == "body" || decl.name == "sig" {
+                decl.name = format!("{}2", decl.name);
+            }
+            decl
+        })
+        .collect();
+    let first = engine.prepare(&io);
+    let second = engine.prepare(&renamed);
+    assert_ne!(first.fingerprint(), second.fingerprint());
+    assert_eq!(
+        first.prepared().sigma_space_digest(),
+        second.prepared().sigma_space_digest()
+    );
+
+    let query = Query::new(Ty::base("SequenceInputStream")).with_n(10);
+    let _ = first.query(&query);
+    let rebound = second.query(&query);
+    assert_eq!(
+        build_split(engine.stats()),
+        (1, 1, 2),
+        "one exploration, one rebind"
+    );
+    assert!(rebound
+        .snippets
+        .iter()
+        .any(|s| s.term.to_string().contains("body2")));
+    assert_fresh_identical(&rebound, &renamed, &query);
+
+    // A second goal explores once more, then rebinds at the other point.
+    let other = Query::new(Ty::base("BufferedReader")).with_n(8);
+    let _ = second.query(&other);
+    let rebound = first.query(&other);
+    assert_eq!(build_split(engine.stats()), (2, 2, 4));
+    assert_fresh_identical(&rebound, &io, &other);
+}
+
+#[test]
+fn a_hole_type_the_space_never_interned_forces_a_full_build() {
+    let engine = Engine::new(SynthesisConfig::default());
+    let session = engine.prepare(&hole_env());
+    let query = Query::new(Ty::base("String")).with_n(12);
+    let _ = session.query(&query);
+    assert_eq!(build_split(engine.stats()), (1, 0, 1));
+
+    // Same σ-environment and per-type weights, but `apply1`'s argument
+    // needs the hole type `Int -> String`, which the space never interned.
+    let delta = EnvDelta::new().add(Declaration::simple(
+        "apply1",
+        Ty::fun(
+            vec![Ty::fun(vec![Ty::base("Int")], Ty::base("String"))],
+            Ty::base("String"),
+        ),
+        DeclKind::Imported,
+    ));
+    let updated = session.update(&delta);
+    assert_eq!(
+        updated.prepared().sigma_space_digest(),
+        session.prepared().sigma_space_digest()
+    );
+    let result = updated.query(&query);
+    assert_eq!(
+        build_split(engine.stats()),
+        (2, 0, 2),
+        "the rebind fell back"
+    );
+    assert!(result
+        .snippets
+        .iter()
+        .any(|s| s.term.to_string().contains("apply1")));
+    assert_fresh_identical(&result, updated.env(), &query);
+}
+
+#[test]
+fn a_reweight_that_moves_a_type_weight_does_not_reuse_the_space() {
+    let engine = Engine::new(SynthesisConfig::default());
+    let session = engine.prepare(&hole_env());
+    let query = Query::new(Ty::base("String")).with_n(12);
+    let _ = session.query(&query);
+
+    // `s` is the lightest `String` producer: lowering it moves the weight
+    // exploration orders `String` requests by.
+    let delta = EnvDelta::new().reweight("s", 0.5);
+    let updated = session.update(&delta);
+    assert_ne!(
+        updated.prepared().sigma_space_digest(),
+        session.prepared().sigma_space_digest()
+    );
+    let result = updated.query(&query);
+    assert_eq!(build_split(engine.stats()), (2, 0, 2));
+    assert_fresh_identical(&result, updated.env(), &query);
+
+    // A heavier `String` producer keeps the per-type weights, so the space
+    // is reused.
+    let delta = EnvDelta::new()
+        .add(Declaration::simple("t", Ty::base("String"), DeclKind::Local).with_weight(40.0));
+    let heavier = updated.update(&delta);
+    let result = heavier.query(&query);
+    assert_eq!(build_split(engine.stats()), (2, 1, 3));
+    assert_fresh_identical(&result, heavier.env(), &query);
+}
+
+#[test]
+fn a_time_truncated_exploration_never_publishes_its_space() {
+    let engine = Engine::new(SynthesisConfig::default());
+    let session = engine.prepare(&hole_env());
+    let twin = engine.prepare(
+        &hole_env()
+            .iter()
+            .map(|decl| {
+                let mut decl = decl.clone();
+                decl.name.push('2');
+                decl
+            })
+            .collect(),
+    );
+    let truncated = Query::new(Ty::base("String"))
+        .with_n(12)
+        .with_prover_time_limit(Some(Duration::ZERO));
+    let result = session.query(&truncated);
+    assert!(
+        result.stats.truncated,
+        "a zero prover budget truncates exploration"
+    );
+
+    // Neither the same point nor a point of the same σ-environment may
+    // rebind over the truncated space: both explore again.
+    let _ = session.query(&truncated);
+    let _ = twin.query(&truncated);
+    assert_eq!(build_split(engine.stats()), (3, 0, 3));
+    assert_eq!(engine.cached_graph_count(), 0);
 }
